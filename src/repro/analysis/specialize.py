@@ -272,7 +272,7 @@ class SpecializationManifest:
 
         Keyed like :meth:`Program.digest`: two manifests with the same
         digest make identical claims about behaviourally-identical
-        programs, so the digest can join memo/cache keys.
+        programs, so the digest identifies what a manifest claims.
         """
         blob = json.dumps(
             self._core_document(), sort_keys=True, separators=(",", ":")

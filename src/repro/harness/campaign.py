@@ -139,21 +139,60 @@ def derive_seed(campaign_seed: int, key: str) -> int:
 
 
 # ------------------------------------------------------------------- cache
+def cache_root(cache=None) -> Path:
+    """The cache root a campaign uses: a :class:`ResultCache`'s root, a
+    directory path, or (for ``None``) ``REPRO_CACHE_DIR`` falling back to
+    :data:`DEFAULT_CACHE_DIR`."""
+    if isinstance(cache, ResultCache):
+        return cache.root
+    if cache is None:
+        cache = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+    return Path(cache)
+
+
+def cache_partition(cache=None) -> Path:
+    """``<cache-root>/<code_fingerprint()>``: the directory holding every
+    artefact derived from this source tree.
+
+    Results, lint verdicts (``lint/``) and oracle reports (``oracle/``)
+    all live here, so one rule invalidates them: editing the ``repro``
+    sources changes the fingerprint and starts a fresh partition.
+    """
+    return cache_root(cache) / code_fingerprint()
+
+
+def atomic_pickle(path: Path, payload) -> Path:
+    """Pickle *payload* to *path* through a per-writer temp file and a
+    rename: readers never see a partial file, and concurrent writers of
+    the same path never collide."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            pickle.dump(payload, handle)
+        os.replace(tmp, path)
+    finally:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+    return path
+
+
 class ResultCache:
     """Content-addressed on-disk store of pickled job payloads.
 
     Layout: ``<root>/<code-fingerprint>/<key[:2]>/<key>.pkl`` — one file
     per result, sharded by key prefix, partitioned by simulator version
-    so stale results can never be served after a code change.
+    (:func:`cache_partition`) so stale results can never be served after
+    a code change.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        self.root = Path(root)
+        self.root = cache_root(root)
 
     def path_for(self, key: str) -> Path:
-        return self.root / code_fingerprint() / key[:2] / f"{key}.pkl"
+        return cache_partition(self.root) / key[:2] / f"{key}.pkl"
 
     def load(self, key: str):
         """The cached entry for *key*, or None (corrupt entries are
@@ -169,21 +208,7 @@ class ResultCache:
             return None
 
     def store(self, key: str, payload) -> Path:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Write to a per-writer temp file, then rename: atomic, and two
-        # campaigns storing the same key concurrently never collide.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle)
-            os.replace(tmp, path)
-        finally:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-        return path
+        return atomic_pickle(self.path_for(key), payload)
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()

@@ -507,7 +507,7 @@ def demo_runner(job, seed):
 
 
 def _campaign(args) -> int:
-    from repro.harness.campaign import run_campaign
+    from repro.harness.campaign import cache_root, run_campaign
 
     apps = args.apps or experiment.default_apps()
     if args.suite:
@@ -557,9 +557,11 @@ def _campaign(args) -> int:
                                    tag="livelock")
         )
     # Static lint gate: a broken workload fails here in milliseconds
-    # instead of wedging a fleet of worker processes.
+    # instead of wedging a fleet of worker processes.  Lint markers,
+    # results and oracle reports share one resolved cache root.
+    cache = cache_root(args.cache_dir)
     try:
-        experiment.lint_campaign_jobs(jobs, cache_dir=args.cache_dir,
+        experiment.lint_campaign_jobs(jobs, cache_dir=cache,
                                       progress=print)
     except experiment.WorkloadLintError as exc:
         print(f"campaign aborted: {exc}")
@@ -570,7 +572,7 @@ def _campaign(args) -> int:
         workers=args.workers,
         timeout=args.timeout,
         retries=args.retries,
-        cache=args.cache_dir,
+        cache=cache,
         use_cache=not args.no_cache,
         campaign_seed=args.seed,
         progress=print,
@@ -581,7 +583,9 @@ def _campaign(args) -> int:
     # aggregation time.  A violation means the simulator contradicted a
     # proven bound; that fails the campaign.
     if not args.no_validate:
-        experiment.validate_campaign_result(result, progress=print)
+        experiment.validate_campaign_result(
+            result, progress=print, cache=cache, use_cache=not args.no_cache
+        )
     rows = []
     for outcome in result.outcomes:
         job = outcome.job

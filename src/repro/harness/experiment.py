@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import MMTConfig
 from repro.harness.campaign import (
-    DEFAULT_CACHE_DIR,
     CampaignResult,
+    atomic_pickle,
+    cache_partition,
     run_campaign,
 )
 from repro.obs import (
@@ -96,10 +97,11 @@ class CampaignJob:
 
     ``specialize`` toggles the fast engine's static specialization
     manifests (:mod:`repro.analysis.specialize`); the reference engine
-    ignores it.  For specialized fast-engine jobs the manifest digests
-    join the on-disk cache key (see :meth:`key_data`), so results
-    simulated under one version of the specialization analysis can never
-    be served to a run expecting another.
+    ignores it.  It is a plain field of the cache key, so specialized and
+    unspecialized results never serve each other.  A change to the
+    specialization analysis needs no key of its own: it edits the
+    ``repro`` sources, and the result cache is partitioned by
+    :func:`~repro.harness.campaign.code_fingerprint`.
     """
 
     app: str
@@ -131,27 +133,9 @@ class CampaignJob:
                 self.strict, self.engine, self.seed, self.specialize)
 
     def key_data(self) -> dict:
-        """Specification hashed into the on-disk campaign cache key.
-
-        Plain field canonicalisation, plus — for fast-engine jobs with
-        specialization on — the content digests of the specialization
-        manifests the engine will consume.  Joining the manifest digests
-        means any change to the specialization analysis (schema bump,
-        verdict change, superblock reshaping) transparently invalidates
-        every cached result it could have influenced, while reference
-        jobs keep analysis-independent keys.
-        """
-        data = dataclasses.asdict(self)
-        if self.specialize and self.engine == "fast":
-            data["specialization_manifests"] = specialization_digests(
-                self.app,
-                self.config,
-                self.threads,
-                machine=self.machine,
-                scale=self.scale,
-                seed=self.seed,
-            )
-        return data
+        """Specification hashed into the on-disk campaign cache key: the
+        plain fields, so keying a job builds and analyses nothing."""
+        return dataclasses.asdict(self)
 
 
 _CACHE: dict[tuple, RunResult] = {}
@@ -205,49 +189,6 @@ def set_default_specialize(on: bool) -> bool:
 def default_specialize() -> bool:
     """Whether fast-engine runs specialize when not told explicitly."""
     return _DEFAULT_SPECIALIZE
-
-
-_SPECIALIZATION_KEY_MEMO: dict[tuple, list[str]] = {}
-
-
-def specialization_digests(
-    app: str,
-    config: MMTConfig,
-    threads: int,
-    machine: MachineConfig | None = None,
-    scale: float = 1.0,
-    seed: int | None = None,
-) -> list[str]:
-    """Manifest digests a specialized fast-engine run of this point uses.
-
-    One sorted, de-duplicated digest per distinct per-context program —
-    exactly the manifests :class:`~repro.pipeline.fast.FastSMTCore`
-    computes at construction.  Memoised per point (the workload build
-    dominates the cost; the analysis itself is memoised again inside the
-    engine layer), because :meth:`CampaignJob.key_data` calls this for
-    every specialized fast job a campaign dispatches.
-    """
-    from repro.pipeline.fast import manifest_for
-
-    nctx = _normalize_machine(machine, threads).num_threads
-    limit = config.limit_identical
-    memo = (app, threads, scale, seed, nctx, limit)
-    cached = _SPECIALIZATION_KEY_MEMO.get(memo)
-    if cached is not None:
-        return list(cached)
-    build = build_point(app, threads, scale=scale, seed=seed)
-    job = build.limit_job() if limit else build.job()
-    digests: set[str] = set()
-    seen: set[str] = set()
-    for program in job.programs:
-        key = program.digest()
-        if key in seen:
-            continue
-        seen.add(key)
-        digests.add(manifest_for(program, nctx).digest())
-    result = sorted(digests)
-    _SPECIALIZATION_KEY_MEMO[memo] = result
-    return list(result)
 
 
 def _normalize_machine(
@@ -345,6 +286,10 @@ def _simulate(
             except Exception:  # pragma: no cover - dump must not mask exc
                 pass
         raise
+    # Hash the program while the run is at hand: a campaign worker's
+    # payload then carries the digest, and the parent keys the oracle
+    # without hashing every returned program again.
+    build.program.digest()
     return RunResult(
         app=app,
         config=config,
@@ -615,36 +560,79 @@ def clear_oracle_memo() -> None:
     _ORACLE_MEMO.clear()
 
 
-def oracle_for_run(run: RunResult):
+def oracle_for_run(run: RunResult, cache=None, use_cache: bool = True,
+                   sources: dict | None = None):
     """The static :class:`~repro.analysis.redundancy.OracleReport`
     governing one completed run.
 
-    Reports are memoised per (program digest, context count, limit-mode)
-    so a campaign over many configurations analyses each distinct
-    workload once.  Limit-study runs (``config.limit_identical``) execute
+    A report is a pure function of (program, context count, limit mode,
+    source tree), so it is kept in two tiers keyed on (program digest,
+    nctx, limit): an in-process memo, then a pickle under the cache
+    partition, ``<cache-root>/<code_fingerprint()>/oracle/``, which lets
+    a warm campaign validate every result without analysing anything.
+    *cache* resolves to a root like :func:`run_campaign`'s (a
+    :class:`ResultCache`, a path, or ``None`` for ``REPRO_CACHE_DIR``);
+    ``use_cache=False`` neither reads nor writes the on-disk tier.  An
+    entry that does not unpickle or names another key is a miss and is
+    rewritten.  Limit-study runs (``config.limit_identical``) execute
     identical clones with soft tid 0 and therefore get the dedicated
     limit analysis.
+
+    *sources*, when given, records each key's first resolution in this
+    call site's bookkeeping: ``"analysed"``, ``"disk"`` or ``"memo"``.
     """
     from repro.analysis.redundancy import analyze_build, analyze_limit_build
     from repro.workloads.engine import analyze_engine_build
 
     limit = run.config.limit_identical
-    key = (run.build.program.digest(), run.build.nctx, limit)
+    digest, nctx = run.build.program.digest(), run.build.nctx
+    key = (digest, nctx, limit)
+    source = "memo"
     report = _ORACLE_MEMO.get(key)
     if report is None:
-        if isinstance(run.build, EngineBuild):
-            report = analyze_engine_build(run.build, limit=limit)
-        else:
-            report = (
-                analyze_limit_build(run.build)
-                if limit
-                else analyze_build(run.build)
-            )
+        path = None
+        if use_cache:
+            path = (cache_partition(cache) / "oracle"
+                    / f"{digest}-{nctx}-{int(limit)}.pkl")
+            report = _load_report(path, key)
+            source = "disk"
+        if report is None:
+            if isinstance(run.build, EngineBuild):
+                report = analyze_engine_build(run.build, limit=limit)
+            else:
+                report = (
+                    analyze_limit_build(run.build)
+                    if limit
+                    else analyze_build(run.build)
+                )
+            source = "analysed"
+            if path is not None:
+                atomic_pickle(path, {"key": key, "report": report})
         _ORACLE_MEMO[key] = report
+    if sources is not None:
+        sources.setdefault(key, source)
     return report
 
 
-def validate_campaign_result(result, progress=None) -> list[OracleViolation]:
+def _load_report(path: Path, key: tuple):
+    """The report stored at *path* for *key*, or None; an entry that does
+    not unpickle or carries another key is deleted."""
+    try:
+        with path.open("rb") as handle:
+            entry = pickle.load(handle)
+        if isinstance(entry, dict) and entry.get("key") == key:
+            return entry["report"]
+    except FileNotFoundError:
+        return None
+    except Exception:  # noqa: BLE001 - any unreadable entry is a miss
+        pass
+    path.unlink(missing_ok=True)
+    return None
+
+
+def validate_campaign_result(
+    result, progress=None, cache=None, use_cache: bool = True
+) -> list[OracleViolation]:
     """Check every successful simulation against its static oracle.
 
     This is the campaign aggregation gate: each OK outcome whose payload
@@ -653,20 +641,25 @@ def validate_campaign_result(result, progress=None) -> list[OracleViolation]:
     cross-checked with :meth:`OracleReport.validate_against`.  Violations
     are appended to ``result.validation_failures`` and returned; a
     payload whose analysis itself fails (e.g. fixpoint divergence) is
-    reported as a violation rather than skipped.
+    reported as a violation rather than skipped.  Reports come from
+    :func:`oracle_for_run` with the campaign's *cache* and *use_cache*;
+    *progress* gets one ``[oracle] N analysed, M from cache`` line
+    counting distinct reports.
 
     Non-simulation payloads (custom runners) are skipped — the gate only
     claims what the oracle can actually check.
     """
     emit = progress if callable(progress) else (lambda line: None)
     violations: list[OracleViolation] = []
+    sources: dict = {}
     for outcome in result.outcomes:
         payload = outcome.payload
         if not outcome.ok or not isinstance(payload, RunResult):
             continue
         job = job_label_of(outcome)
         try:
-            report = oracle_for_run(payload)
+            report = oracle_for_run(payload, cache=cache,
+                                    use_cache=use_cache, sources=sources)
             problems = report.validate_against(payload.stats)
         except Exception as exc:  # noqa: BLE001 - reported as a violation
             problems = [f"oracle analysis failed: {type(exc).__name__}: {exc}"]
@@ -679,6 +672,9 @@ def validate_campaign_result(result, progress=None) -> list[OracleViolation]:
             )
             violations.append(violation)
             emit(f"[oracle] VIOLATION {violation}")
+    analysed = sum(1 for source in sources.values() if source == "analysed")
+    emit(f"[oracle] {analysed} analysed, "
+         f"{len(sources) - analysed} from cache")
     result.validation_failures.extend(violations)
     return violations
 
@@ -709,21 +705,20 @@ def lint_campaign_jobs(jobs, cache_dir=None, progress=None) -> int:
     Each distinct ``(app, threads, scale, seed)`` tuple is built once
     (registry workloads included, via :func:`build_point`) and its
     program linted; a clean verdict is content-addressed on
-    :meth:`~repro.isa.program.Program.digest` under ``<cache>/lint/`` so
-    repeat campaigns skip the analysis entirely.  Any diagnostic aborts
-    dispatch with :class:`WorkloadLintError` — a workload-generator bug
-    should fail in milliseconds here, not wedge a fleet of simulations.
+    :meth:`~repro.isa.program.Program.digest` under the cache partition,
+    ``<cache-root>/<code_fingerprint()>/lint/``, so repeat campaigns skip
+    the analysis entirely and a lint-rule change re-lints everything.
+    *cache_dir* resolves like :func:`run_campaign`'s *cache* argument.
+    Any diagnostic aborts dispatch with :class:`WorkloadLintError` — a
+    workload-generator bug should fail in milliseconds here, not wedge a
+    fleet of simulations.
 
     Returns the number of programs actually linted (cache misses).
     Non-:class:`CampaignJob` entries (custom test jobs) are skipped.
     """
     from repro.analysis.lint import lint_program
 
-    root = Path(
-        cache_dir
-        if cache_dir is not None
-        else os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-    ) / "lint"
+    root = cache_partition(cache_dir) / "lint"
     emit = progress if callable(progress) else (lambda line: None)
     seen: set[tuple[str, int, float, int | None]] = set()
     fresh = 0
@@ -785,8 +780,7 @@ def run_points(
         for point in points
     ]
     if lint:
-        cache_root = getattr(cache, "root", None) if cache is not None else None
-        lint_campaign_jobs(jobs, cache_dir=cache_root, progress=progress)
+        lint_campaign_jobs(jobs, cache_dir=cache, progress=progress)
     result = run_campaign(
         jobs,
         simulate_job,
@@ -803,7 +797,8 @@ def run_points(
         if outcome.ok:
             _CACHE[outcome.job.memo_key()] = outcome.payload
     if validate:
-        validate_campaign_result(result, progress=progress)
+        validate_campaign_result(result, progress=progress, cache=cache,
+                                 use_cache=use_cache)
     return result
 
 

@@ -104,10 +104,9 @@ _MANIFEST_MEMO: dict[tuple[str, int], SpecializationManifest] = {}
 def manifest_for(program, nctx: int) -> SpecializationManifest:
     """Memoised :func:`~repro.analysis.specialize.analyze_specialization`.
 
-    Shared by core construction and the campaign cache-key layer
-    (:meth:`~repro.harness.experiment.CampaignJob.key_data`), so a worker
-    process analyses each distinct program once however many cores and
-    job keys need the manifest.
+    Shared by core construction and ``repro analyze --specialize``, so a
+    worker process analyses each distinct program once however many cores
+    it builds for it.
     """
     key = (program.digest(), nctx)
     manifest = _MANIFEST_MEMO.get(key)

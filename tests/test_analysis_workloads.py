@@ -84,6 +84,7 @@ def test_mp_oracle_bounds_are_sane(pattern):
 # ------------------------------------------------------ campaign lint gate
 def test_lint_campaign_jobs_checks_each_workload_once(tmp_path):
     from repro.core.config import MMTConfig
+    from repro.harness.campaign import code_fingerprint
     from repro.harness.experiment import CampaignJob, lint_campaign_jobs
 
     jobs = [
@@ -98,7 +99,26 @@ def test_lint_campaign_jobs_checks_each_workload_once(tmp_path):
     # Second invocation: content-addressed markers short-circuit the lint.
     fresh = lint_campaign_jobs(jobs, cache_dir=tmp_path)
     assert fresh == 0
-    assert len(list((tmp_path / "lint").glob("*.ok"))) == 2
+    markers = tmp_path / code_fingerprint() / "lint"
+    assert len(list(markers.glob("*.ok"))) == 2
+
+
+def test_lint_markers_follow_the_code_fingerprint(tmp_path, monkeypatch):
+    """A lint verdict is only as good as the rules that produced it: under
+    another source tree (code fingerprint) the program is linted again."""
+    import repro.harness.campaign as campaign_mod
+    from repro.core.config import MMTConfig
+    from repro.harness.experiment import CampaignJob, lint_campaign_jobs
+
+    jobs = [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.25)]
+    monkeypatch.setattr(campaign_mod, "_FINGERPRINT", None)
+    monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "rules-v1")
+    assert lint_campaign_jobs(jobs, cache_dir=tmp_path) == 1
+    assert lint_campaign_jobs(jobs, cache_dir=tmp_path) == 0
+    monkeypatch.setattr(campaign_mod, "_FINGERPRINT", None)
+    monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "rules-v2")
+    assert lint_campaign_jobs(jobs, cache_dir=tmp_path) == 1
+    assert list((tmp_path / "rules-v2" / "lint").glob("*.ok"))
 
 
 def test_lint_campaign_jobs_skips_custom_jobs(tmp_path):

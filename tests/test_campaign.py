@@ -435,7 +435,7 @@ def test_oracle_memo_reuses_reports(tmp_path, monkeypatch):
 
 # --------------------------------------- fast-engine jobs through the gate
 def test_fast_engine_results_validated_including_cache_hits(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, analyses
 ):
     """Fast-engine campaign results flow through the oracle gate exactly
     like reference ones — fresh *and* served from the on-disk cache (a
@@ -452,17 +452,26 @@ def test_fast_engine_results_validated_including_cache_hits(
     first = run_points(points, workers=2)
     assert all(o.ok and not o.from_cache for o in first.outcomes)
     assert first.validation_failures == []
+    assert len(analyses) == 2
 
+    # A fresh memo: the second pass analyses nothing and reads every
+    # report from the on-disk tier.
+    analyses.clear()
     clear_cache()
-    second = run_points(points, workers=2)
+    experiment.clear_oracle_memo()
+    lines = []
+    second = run_points(points, workers=2, progress=lines.append)
     assert all(o.ok and o.from_cache for o in second.outcomes)
     assert second.validation_failures == []
+    assert analyses == []
+    assert "[oracle] 0 analysed, 2 from cache" in lines
 
     # Corrupt one cached payload: the gate must flag it even though the
-    # simulation never re-ran.
+    # simulation never re-ran and the report is read from disk.
     payload = second.outcomes[0].payload
     payload.stats.lvip_site_checks = dict(payload.stats.lvip_site_checks)
     payload.stats.lvip_site_checks[999_999] = 1
+    experiment.clear_oracle_memo()
     violations = experiment.validate_campaign_result(second)
     assert len(violations) == 1
     assert any("999999" in p for p in violations[0].problems)
@@ -488,3 +497,110 @@ def test_engines_never_share_cache_entries_or_memo_keys(tmp_path, monkeypatch):
         by_engine["fast"].stats.__dict__ == by_engine["reference"].stats.__dict__
     )
     clear_cache()
+
+
+# ------------------------------------------ persistent oracle-report tier
+@pytest.fixture
+def analyses(monkeypatch):
+    """Counts every static oracle analysis run in this process."""
+    from repro.analysis import redundancy
+    from repro.harness import experiment
+    from repro.workloads import engine
+
+    calls = []
+    for module, name in ((redundancy, "analyze_build"),
+                         (redundancy, "analyze_limit_build"),
+                         (engine, "analyze_engine_build")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    experiment.clear_oracle_memo()
+    clear_cache()
+    yield calls
+    experiment.clear_oracle_memo()
+    clear_cache()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "wrong-key"])
+def test_damaged_oracle_report_is_recomputed_and_rewritten(
+    tmp_path, analyses, damage
+):
+    import pickle
+
+    from repro.harness import experiment
+
+    root = tmp_path / "simcache"
+    result = run_points(
+        [CampaignJob("ammp", MMTConfig.mmt_fxr(), 2, scale=0.1)],
+        workers=1, cache=root,
+    )
+    payload = result.outcomes[0].payload
+    (entry,) = (root / code_fingerprint() / "oracle").glob("*.pkl")
+    good = entry.read_bytes()
+    if damage == "truncated":
+        entry.write_bytes(good[: len(good) // 2])
+    elif damage == "garbage":
+        entry.write_bytes(b"not a pickle at all")
+    else:
+        stored = pickle.loads(good)
+        stored["key"] = ("0" * 64, 2, False)
+        entry.write_bytes(pickle.dumps(stored))
+
+    analyses.clear()
+    experiment.clear_oracle_memo()
+    report = experiment.oracle_for_run(payload, cache=root)
+    assert analyses == ["analyze_build"]
+    assert report.validate_against(payload.stats) == []
+    rewritten = pickle.loads(entry.read_bytes())
+    assert rewritten["key"] == (
+        payload.build.program.digest(), payload.build.nctx, False
+    )
+
+
+def test_changed_fingerprint_recomputes_oracle_report(
+    tmp_path, analyses, monkeypatch
+):
+    import repro.harness.campaign as campaign_mod
+    from repro.harness import experiment
+
+    root = tmp_path / "simcache"
+    monkeypatch.setattr(campaign_mod, "_FINGERPRINT", None)
+    monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "analysis-v1")
+    result = run_points(
+        [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)],
+        workers=1, cache=root,
+    )
+    payload = result.outcomes[0].payload
+    assert len(analyses) == 1
+
+    experiment.clear_oracle_memo()
+    experiment.oracle_for_run(payload, cache=root)
+    assert len(analyses) == 1  # same tree: served from disk
+
+    monkeypatch.setattr(campaign_mod, "_FINGERPRINT", None)
+    monkeypatch.setenv("REPRO_CODE_FINGERPRINT", "analysis-v2")
+    experiment.clear_oracle_memo()
+    experiment.oracle_for_run(payload, cache=root)
+    assert len(analyses) == 2
+    assert len(list((root / "analysis-v2" / "oracle").glob("*.pkl"))) == 1
+
+
+def test_no_cache_writes_no_oracle_reports(tmp_path, analyses):
+    from repro.harness import experiment
+
+    root = tmp_path / "simcache"
+    result = run_points(
+        [CampaignJob("ammp", MMTConfig.base(), 2, scale=0.1)],
+        workers=1, cache=root, use_cache=False,
+    )
+    assert result.completed and result.validation_failures == []
+    experiment.clear_oracle_memo()
+    experiment.oracle_for_run(
+        result.outcomes[0].payload, cache=root, use_cache=False
+    )
+    assert len(analyses) == 2
+    assert not (root / code_fingerprint() / "oracle").exists()

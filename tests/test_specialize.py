@@ -7,9 +7,9 @@ Three layers of coverage:
   under value-lattice widening, plain runs mirror the instruction
   stream — checked over the seeded workload corpus *and* over
   hypothesis-generated random programs;
-* content addressing — digests are stable, name-independent, and join
-  the campaign memo/cache keys exactly when a specialized fast-engine
-  run would consume them;
+* content addressing — digests are stable and name-independent, while
+  campaign job keys stay plain field hashes that never build a workload
+  (the code fingerprint partitions the cache instead);
 * engine soundness — specialization on/off bit-exactness and the
   paranoid runtime contract live in ``test_fastpath_differential.py``;
   here we only pin the exception type and the engine-facing views.
@@ -168,35 +168,51 @@ def test_document_round_trips_summary_counts():
 
 
 # ----------------------------------------------------- campaign cache keys
-def test_manifest_digests_join_fast_job_keys():
+def test_fast_job_keys_build_nothing_and_artefacts_follow_fingerprint(
+    tmp_path, monkeypatch
+):
+    """Job keys are plain field hashes: keying a specialized fast job
+    builds no workload and analyses nothing, the ``specialize`` field
+    still separates on/off keys, and every cached artefact a campaign
+    writes (results, lint verdicts, oracle reports) sits under the code
+    fingerprint, which is what invalidates them all when the analysis
+    changes."""
     from repro.core.config import MMTConfig
-    from repro.harness import experiment
-    from repro.harness.campaign import job_key
+    from repro.harness import campaign, experiment
+    from repro.pipeline import fast
 
     fast_on = experiment.CampaignJob(
         "ammp", MMTConfig.mmt_fxr(), 2, scale=SCALE, engine="fast")
     fast_off = experiment.CampaignJob(
         "ammp", MMTConfig.mmt_fxr(), 2, scale=SCALE, engine="fast",
         specialize=False)
-    reference = experiment.CampaignJob(
-        "ammp", MMTConfig.mmt_fxr(), 2, scale=SCALE, engine="reference")
 
-    data = fast_on.key_data()
-    digests = data["specialization_manifests"]
-    assert digests and all(len(d) == 64 for d in digests)
-    assert sorted(digests) == digests
-    # Exactly the manifests a specialized run would compute.
-    from repro.pipeline.fast import manifest_for
+    def forbidden(*args, **kwargs):
+        raise AssertionError("job keying must not build or analyse")
 
-    build = build_workload(get_profile("ammp"), 2, scale=SCALE)
-    assert manifest_for(build.program, 2).digest() in digests
-
-    assert "specialization_manifests" not in fast_off.key_data()
-    assert "specialization_manifests" not in reference.key_data()
-
-    # The cache key separates on/off and embeds the manifest identity.
-    assert job_key(fast_on, "runner") != job_key(fast_off, "runner")
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "build_point", forbidden)
+        patch.setattr(fast, "manifest_for", forbidden)
+        patch.setattr(fast, "analyze_specialization", forbidden)
+        key_on = campaign.job_key(fast_on, "runner")
+        key_off = campaign.job_key(fast_off, "runner")
+        assert fast_on.key_data()["specialize"] is True
+    assert key_on != key_off
     assert fast_on.memo_key() != fast_off.memo_key()
+
+    experiment.clear_cache()
+    experiment.clear_oracle_memo()
+    result = experiment.run_points([fast_on], workers=1, cache=tmp_path)
+    assert result.completed and result.validation_failures == []
+    partition = tmp_path / campaign.code_fingerprint()
+    written = [
+        path for path in tmp_path.rglob("*")
+        if path.is_file() and path.parent.name != "runlog"
+    ]
+    assert {path.parent.name for path in written} >= {"lint", "oracle"}
+    assert all(partition in path.parents for path in written)
+    experiment.clear_cache()
+    experiment.clear_oracle_memo()
 
 
 def test_specialize_defaults_round_trip():
